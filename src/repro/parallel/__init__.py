@@ -1,7 +1,11 @@
 """Process-pool experiment execution with deterministic seeding.
 
-Three pieces:
+Pieces:
 
+* :mod:`repro.parallel.worker` -- :class:`Worker`: the one fork
+  primitive under the pool, the shards and DDP (one child loop, one
+  :class:`Reply` envelope with telemetry, one teardown), plus the
+  in-process :class:`InlineWorker` stand-in.
 * :mod:`repro.parallel.pool` -- :class:`WorkerPool`: chunked
   multi-process task scheduling with per-task timeouts, bounded retry
   of crashed workers, structured :class:`TaskOutcome` failure records
@@ -44,8 +48,10 @@ from repro.parallel.seeding import (
     spawn_sequences,
 )
 from repro.parallel.shards import ShardPool, ShardResult
+from repro.parallel.worker import InlineWorker, Reply, Worker
 
 __all__ = [
+    "Worker", "InlineWorker", "Reply",
     "Task", "TaskOutcome", "WorkerPool", "cpu_workers",
     "ShardPool", "ShardResult",
     "ArenaSpec", "SharedTensorArena", "cleanup_stale_segments",

@@ -25,9 +25,12 @@ command down and one "done" summary up per epoch, and
 :func:`set_message_audit` lets the test suite assert that nothing else
 -- no weights, no batches -- is ever pickled on the steady-state path.
 
-Workers are forked lazily on the first epoch (so they inherit the
-arena mapping, the model, the loader, and the step runner -- including
-a private per-worker compiled-program cache) and persist across epochs.
+Each non-zero rank is a :class:`~repro.parallel.worker.Worker` whose
+handler runs one epoch per command; its reply carries the rank's spans
+and metrics home.  Workers are forked lazily on the first epoch (so
+they inherit the arena mapping, the model, the loader, and the step
+runner -- including a private per-worker compiled-program cache) and
+persist across epochs.
 Batch-norm running statistics stay rank-local during an epoch and are
 averaged across ranks through the arena at every epoch end, which keeps
 eval-time behaviour close to the serial run (the EMA update is linear,
@@ -42,10 +45,9 @@ via the arena's ``atexit`` hook and the stale-segment sweep).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import multiprocessing as mp
 import os
-import signal
-import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -61,13 +63,9 @@ from repro.parallel.arena import (
     cleanup_stale_segments,
     live_segments,
 )
+from repro.parallel.worker import Worker
 from repro.telemetry.metrics import default_registry
-from repro.telemetry.trace import (
-    current_trace_context,
-    set_recorder,
-    span,
-    worker_recorder,
-)
+from repro.telemetry.trace import current_trace_context, span
 
 __all__ = [
     "DDPContext", "available", "shm_available", "reduce_plan",
@@ -159,17 +157,9 @@ def set_message_audit(
     return previous
 
 
-def _send_msg(conn, message: Any) -> None:
+def _audit(direction: str, message: Any) -> None:
     if _message_audit is not None:
-        _message_audit("send", message)
-    conn.send(message)
-
-
-def _recv_msg(conn) -> Any:
-    message = conn.recv()
-    if _message_audit is not None:
-        _message_audit("recv", message)
-    return message
+        _message_audit(direction, message)
 
 
 # ---------------------------------------------------------------------------
@@ -344,49 +334,30 @@ def _run_rank_epoch(state: _RankState, epoch: int, compiled: bool) -> None:
         _sync_buffers(state)
 
 
-def _worker_main(state: _RankState, conn) -> None:
-    """Entry point of a forked worker: serve epoch commands until told
-    to stop (``None``) or the barrier breaks."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    set_recorder(None)  # never inherit the parent's live recorder
-    default_registry().reset()
-    while True:
-        try:
-            command = _recv_msg(conn)
-        except (EOFError, OSError):
-            break
-        if command is None:
-            break
-        _, epoch, compiled, trace_ctx = command
-        recorder = worker_recorder(trace_ctx) if trace_ctx is not None else None
-        set_recorder(recorder)
+def _rank_handler(state: _RankState) -> Callable[[Any], Any]:
+    """Worker ``init_fn`` of rank ``state.rank``: the handler runs one
+    epoch per ``("epoch", epoch, compiled)`` command and returns the
+    ``("done", rank, summary)`` message."""
+
+    def run_epoch(command) -> Tuple[str, int, Dict[str, Any]]:
+        _, epoch, compiled = command
         state.reset_stats()
-        payload: Dict[str, Any] = {"rank": state.rank}
         try:
             with _backend.use_backend(state.backend), \
                     _precision.use_dtype(state.dtype):
                 _run_rank_epoch(state, epoch, compiled)
-        except DDPError:
-            set_recorder(None)
-            os._exit(1)
         except BaseException:
             # crash honestly: the parent watchdog turns this into a
             # DDPError at the next barrier instead of a silent hang
-            set_recorder(None)
             os._exit(1)
-        set_recorder(None)
-        payload.update(state.stats)
-        payload["compile"] = dict(state.runner.stats)
         from repro.autograd.planner import last_tape_stats
         tape = last_tape_stats()
+        payload: Dict[str, Any] = {"rank": state.rank, **state.stats}
+        payload["compile"] = dict(state.runner.stats)
         payload["tape"] = dataclasses.asdict(tape) if tape is not None else None
-        payload["spans"] = recorder.drain_dicts() if recorder is not None else []
-        try:
-            _send_msg(conn, ("done", state.rank, payload))
-        except (BrokenPipeError, OSError):
-            break
-    conn.close()
-    sys.exit(0)
+        return ("done", state.rank, payload)
+
+    return run_epoch
 
 
 # ---------------------------------------------------------------------------
@@ -438,15 +409,13 @@ class DDPContext:
         self.arena: Optional[SharedTensorArena] = None
         self._state: Optional[_RankState] = None
         self._param_views: List[np.ndarray] = []
-        self._procs: Dict[int, mp.Process] = {}
-        self._conns: Dict[int, Any] = {}
+        self._workers: Dict[int, Worker] = {}
         self._started = False
         self._broken = False
         self._shutting_down = False
         self._dead_rank: Optional[int] = None
         self._watch_stop = threading.Event()
         self._watchdog: Optional[threading.Thread] = None
-        self._epoch_open = False
         self._epoch_compiled = False
         self.last_epoch: Dict[str, Any] = {}
 
@@ -512,17 +481,9 @@ class DDPContext:
 
         self._state = rank_state(0)
         for rank in range(1, self.world):
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(rank_state(rank), child_conn),
-                daemon=True,
-                name=f"repro-ddp-{rank}",
-            )
-            proc.start()
-            child_conn.close()
-            self._procs[rank] = proc
-            self._conns[rank] = parent_conn
+            self._workers[rank] = Worker(
+                functools.partial(_rank_handler, rank_state(rank)),
+                label=f"ddp rank={rank}")
         self._watchdog = threading.Thread(
             target=self._watch, name="repro-ddp-watchdog", daemon=True
         )
@@ -536,14 +497,14 @@ class DDPContext:
             "ddp.start", world=self.world,
             segment=self.arena.segment_name,
             arena_bytes=self.arena.nbytes,
-            pids=[p.pid for p in self._procs.values()],
+            pids=[w.process.pid for w in self._workers.values()],
         )
 
     def _watch(self) -> None:
         """Break the barrier as soon as any child dies unexpectedly."""
         while not self._watch_stop.wait(0.05):
-            for rank, proc in self._procs.items():
-                if not proc.is_alive() and not self._shutting_down:
+            for rank, worker in self._workers.items():
+                if not worker.alive() and not self._shutting_down:
                     self._dead_rank = rank
                     self._broken = True
                     try:
@@ -560,15 +521,16 @@ class DDPContext:
             self._start()
         self._raise_if_broken()
         trace_ctx = current_trace_context()
-        for rank, conn in self._conns.items():
+        command = ("epoch", epoch, compiled)
+        for rank, worker in self._workers.items():
+            _audit("send", command)
             try:
-                _send_msg(conn, ("epoch", epoch, compiled, trace_ctx))
-            except (BrokenPipeError, OSError):
+                worker.send(command, trace=trace_ctx)
+            except OSError:
                 self._broken = True
                 self._dead_rank = rank
                 raise DDPError(f"ddp worker rank {rank} is gone")
         self._state.reset_stats()
-        self._epoch_open = True
         self._epoch_compiled = bool(compiled)
         return self.loader.shard(0, self.world).iter_meta()
 
@@ -619,21 +581,23 @@ class DDPContext:
         except DDPError:
             self._broken = True
             raise self._death_error()
-        self._epoch_open = False
         summaries: Dict[int, Dict[str, Any]] = {}
-        for rank, conn in self._conns.items():
+        for rank, worker in self._workers.items():
             try:
-                kind, got_rank, payload = _recv_msg(conn)
+                reply = worker.recv()
             except (EOFError, OSError):
                 self._broken = True
                 self._dead_rank = rank
                 raise self._death_error()
+            _audit("recv", reply.value)
+            kind, got_rank, payload = reply.value or (reply.error, None, None)
             if kind != "done" or got_rank != rank:
                 self._broken = True
                 raise DDPError(
                     f"ddp protocol error: expected done from rank {rank}, "
                     f"got {kind!r} from {got_rank}"
                 )
+            worker.merge(reply)
             summaries[rank] = payload
         return self._publish_epoch_metrics(summaries)
 
@@ -641,11 +605,9 @@ class DDPContext:
         self, summaries: Dict[int, Dict[str, Any]]
     ) -> Dict[str, Any]:
         from repro.autograd.planner import last_tape_stats
-        from repro.telemetry.trace import get_recorder
 
         state = self._state
         registry = default_registry()
-        recorder = get_recorder()
         steps = int(state.stats["steps"])
         param_bytes = sum(int(p.data.nbytes) for p in self.params)
         # per step: every rank writes its slab, then (world - 1) slab
@@ -661,15 +623,12 @@ class DDPContext:
         worker_steps = 0
         allreduce_s = float(state.stats["allreduce_s"])
         barrier_s = float(state.stats["barrier_s"])
-        for rank, payload in sorted(summaries.items()):
+        for payload in summaries.values():
             worker_steps += int(payload.get("steps", 0))
             for key, value in payload.get("compile", {}).items():
                 compile_totals[key] = compile_totals.get(key, 0) + int(value)
             if payload.get("tape"):
                 tapes.append(payload["tape"])
-            if recorder is not None and payload.get("spans"):
-                recorder.merge_spans(payload["spans"],
-                                     label=f"ddp rank={rank}")
         registry.counter("ddp.steps").inc(steps)
         registry.counter("ddp.worker_steps").inc(worker_steps)
         registry.counter("ddp.bytes_moved").inc(steps * step_bytes)
@@ -704,7 +663,7 @@ class DDPContext:
         if self._dead_rank is not None:
             return DDPError(
                 f"ddp worker rank {self._dead_rank} (pid "
-                f"{self._procs[self._dead_rank].pid}) died mid-epoch"
+                f"{self._workers[self._dead_rank].process.pid}) died mid-epoch"
             )
         return DDPError("ddp barrier broken (worker death or timeout)")
 
@@ -730,24 +689,10 @@ class DDPContext:
             self._watch_stop.set()
             if self._watchdog is not None:
                 self._watchdog.join(timeout=1.0)
-            for conn in self._conns.values():
-                try:
-                    _send_msg(conn, None)
-                except (BrokenPipeError, OSError):
-                    pass
-            for proc in self._procs.values():
-                proc.join(timeout=2.0)
-            for proc in self._procs.values():
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=1.0)
-            for conn in self._conns.values():
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-            self._procs.clear()
-            self._conns.clear()
+            for worker in self._workers.values():
+                _audit("send", None)  # close() sends the sentinel
+                worker.close(timeout=2.0)
+            self._workers.clear()
         # detach the model from the arena before the mapping goes away
         if self._param_views:
             grad_slabs = (set(id(s) for s in self._state.grad_views[0])

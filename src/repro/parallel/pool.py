@@ -14,31 +14,27 @@ pool-wide:
 * a task that exceeds the per-task **timeout** gets its worker killed
   and is retried / recorded as ``error_kind="timeout"``.
 
-Workers are spawn-safe: the worker entrypoint is a module-level
-function and tasks are pickled when the start method requires it.  When
-``max_workers <= 1``, the platform has no usable start method, or the
-tasks cannot be pickled under a non-fork start method, the pool
-transparently falls back to in-process serial execution with identical
-outcome semantics (timeouts cannot preempt in-process and are ignored
-there).
+Tasks run on :class:`~repro.parallel.worker.Worker` processes, up to
+``max_workers`` at once; each worker runs chunks of task indices and is
+replaced only after a crash or timeout.  Workers are spawn-safe: tasks
+reach the child inside the worker's ``init_fn`` and are pickled when
+the start method requires it.  When ``max_workers <= 1``, the platform
+has no usable start method, or the tasks cannot be pickled under a
+non-fork start method, the pool runs them on an in-process
+:class:`~repro.parallel.worker.InlineWorker` with identical outcome
+semantics (timeouts cannot preempt in-process and are ignored there).
 
-Each worker resets its process-local :func:`repro.telemetry.metrics
-.default_registry` before a task and ships the task's typed metrics
-snapshot back with the result; the parent merges it into its own
-registry (see :meth:`MetricsRegistry.merge_typed`) and attaches it to
-the outcome.  When the parent is inside a :func:`repro.telemetry
-.profile` region, workers additionally collect per-kernel stats for
-each task and ship those back too, so the parent profile's kernel
-table covers work done in worker processes.  Likewise, when the parent
-has a :class:`repro.telemetry.trace.TraceRecorder` active, its
-:class:`TraceContext` rides along in the worker envelope: each worker
-records spans on a clock aligned to the parent's timeline and ships
-them back per task, and the parent merges them so one pooled run
-renders as a single multi-lane Chrome trace.
+Each task's reply carries the worker's typed metrics snapshot, merged
+into the parent registry and attached to the outcome.  Inside a
+:func:`repro.telemetry.profile` region workers also ship per-kernel
+stats, and when the parent has a trace recorder active they ship spans
+aligned to its timeline, so one pooled run renders as a single
+multi-lane Chrome trace.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import multiprocessing.connection
@@ -49,7 +45,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
+from repro.parallel.worker import InlineWorker, Reply, Worker
 from repro.telemetry.metrics import default_registry
+from repro.telemetry.profiler import active_profile
+from repro.telemetry.trace import current_trace_context, span
 
 
 @dataclass
@@ -62,34 +61,19 @@ class Task:
 
 
 @dataclass
-class TaskOutcome:
+class TaskOutcome(Reply):
     """Structured result of one task attempt chain.
 
-    ``ok`` outcomes carry ``value``; failures carry ``error`` (a repr of
-    the exception, or a timeout/crash description) and ``error_kind``
-    (``"exception"`` | ``"timeout"`` | ``"crash"``).  ``attempts``
-    counts executions including retries; ``telemetry`` is the worker's
-    typed metrics snapshot for the task (empty in serial fallback,
-    where metrics flow directly into the parent registry).
-    ``kernels`` is the worker's per-kernel profiler stats for the task,
-    populated only when the parent ran the pool inside a
-    :func:`repro.telemetry.profile` region (empty in serial fallback,
-    where the parent's own kernel hook sees every call).  ``spans`` is
-    the worker's span dicts for the task, populated only when the
-    parent had a trace recorder active at dispatch (empty in serial
-    fallback, where spans land directly in the parent recorder).
+    The task's :class:`~repro.parallel.worker.Reply` -- where
+    ``error_kind`` may also be ``"timeout"`` or ``"crash"`` -- plus its
+    task ``index`` and ``attempts``, the executions including retries.
+    ``telemetry``, ``kernels`` and ``spans`` stay empty in the serial
+    fallback, where metrics, kernel calls and spans reach the parent
+    directly.
     """
 
-    index: int
-    ok: bool
-    value: Any = None
-    error: str = ""
-    error_kind: str = ""
+    index: int = -1
     attempts: int = 1
-    duration_s: float = 0.0
-    telemetry: Dict[str, Any] = field(default_factory=dict)
-    kernels: Dict[str, Any] = field(default_factory=dict)
-    spans: List[Dict[str, Any]] = field(default_factory=list)
 
 
 def cpu_workers() -> int:
@@ -97,102 +81,29 @@ def cpu_workers() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _execute(fn: Callable[..., Any], args: Tuple[Any, ...],
-             kwargs: Optional[Mapping[str, Any]]) -> Tuple[str, Any, str, float]:
-    """Run one task, catching exceptions: (status, value, kind, duration)."""
-    start = time.perf_counter()
-    try:
-        value = fn(*args, **dict(kwargs or {}))
-    except Exception as exc:
-        return "err", repr(exc), "exception", time.perf_counter() - start
-    return "ok", value, "", time.perf_counter() - start
+#: Counter bumped per worker lost to each failure kind (read by
+#: ``/health`` and the ``worker_death`` alert rule).
+_FAILURE_COUNTERS = {"crash": "pool.worker_crashes",
+                     "timeout": "pool.worker_timeouts"}
 
 
-class _KernelCollector:
-    """Worker-side kernel hook accumulating the profiler wire format."""
-
-    def __init__(self) -> None:
-        self.stats: Dict[str, Dict[str, Any]] = {}
-
-    def __call__(self, backend: str, kernel: str,
-                 seconds: float, nbytes: int) -> None:
-        key = f"{backend}/{kernel}"
-        stat = self.stats.get(key)
-        if stat is None:
-            stat = self.stats[key] = {
-                "backend": backend, "kernel": kernel,
-                "calls": 0, "total_time": 0.0, "bytes_moved": 0,
-            }
-        stat["calls"] += 1
-        stat["total_time"] += seconds
-        stat["bytes_moved"] += nbytes
-
-    def drain(self) -> Dict[str, Dict[str, Any]]:
-        stats, self.stats = self.stats, {}
-        return stats
-
-
-def _worker_main(chunk: List[Tuple[int, Task]], conn,
-                 collect_kernels: bool = False,
-                 trace_ctx=None) -> None:
-    """Worker entrypoint: run a chunk of tasks, send one message each.
-
-    Module-level so the pool stays importable under the ``spawn`` start
-    method.  The process-local metrics registry is reset per task so the
-    shipped snapshot covers exactly that task (under ``fork`` the child
-    inherits a copy of the parent registry; resetting the copy leaves
-    the parent untouched).  With ``collect_kernels`` the worker installs
-    a kernel hook and ships per-task kernel stats for the parent's
-    active profile to merge.  With ``trace_ctx`` the worker installs a
-    parent-aligned trace recorder (replacing any recorder inherited via
-    fork, whose spans the parent already owns) and ships each task's
-    span dicts back for the parent to merge.
-    """
-    from repro.telemetry.trace import set_recorder, span, worker_recorder
-
-    registry = default_registry()
-    collector: Optional[_KernelCollector] = None
-    if collect_kernels:
-        from repro.backend import registry as _backend_registry
-        collector = _KernelCollector()
-        _backend_registry.set_kernel_hook(collector)
-    recorder = worker_recorder(trace_ctx) if trace_ctx is not None else None
-    set_recorder(recorder)
-    for index, task in chunk:
-        registry.reset()
+def _task_handler(tasks: Sequence[Task]) -> Callable[[int], Any]:
+    """Worker ``init_fn``: the handler runs ``tasks[index]``."""
+    def run(index: int) -> Any:
+        task = tasks[index]
         with span("pool.task", index=index):
-            status, value, kind, duration = _execute(task.fn, task.args,
-                                                     task.kwargs)
-        snapshot = registry.typed_snapshot()
-        kernels = collector.drain() if collector is not None else {}
-        spans = recorder.drain_dicts() if recorder is not None else []
-        try:
-            conn.send((status, index, value, kind, duration, snapshot,
-                       kernels, spans))
-        except Exception as exc:  # unpicklable task result
-            conn.send(("err", index, f"unpicklable result: {exc!r}",
-                       "exception", duration, snapshot, kernels, spans))
-    conn.send(("bye", -1, None, "", 0.0, None, None, None))
-    conn.close()
+            return task.fn(*task.args, **dict(task.kwargs or {}))
+    return run
 
 
-class _ActiveWorker:
-    """Parent-side bookkeeping for one live worker process."""
+@dataclass
+class _Slot:
+    """A live worker and the task indices sent to it, oldest first:
+    ``queue[0]`` is running and started at ``since``."""
 
-    __slots__ = ("process", "conn", "chunk", "position", "last_event")
-
-    def __init__(self, process, conn, chunk: List[Tuple[int, Task]]) -> None:
-        self.process = process
-        self.conn = conn
-        self.chunk = chunk
-        self.position = 0  # index into chunk of the task now executing
-        self.last_event = time.perf_counter()
-
-    def current_index(self) -> int:
-        return self.chunk[self.position][0]
-
-    def remaining(self) -> List[Tuple[int, Task]]:
-        return self.chunk[self.position + 1:]
+    worker: Worker
+    queue: List[int] = field(default_factory=list)
+    since: float = 0.0
 
 
 class WorkerPool:
@@ -208,8 +119,8 @@ class WorkerPool:
         retries: how many times a crashed or timed-out task is re-run
             before a failure outcome is recorded (exceptions are never
             retried -- they are deterministic).
-        chunk_size: tasks handed to a worker per process spawn; defaults
-            to ``ceil(n / (workers * 4))`` for load balancing.
+        chunk_size: tasks handed to a worker at a time; defaults to
+            ``ceil(n / (workers * 4))`` for load balancing.
         start_method: multiprocessing start method override; defaults to
             ``fork`` when available (no pickling of task functions),
             else the platform default.
@@ -267,168 +178,117 @@ class WorkerPool:
         return True
 
     def _run_serial(self, tasks: Sequence[Task]) -> List[TaskOutcome]:
+        worker = InlineWorker(functools.partial(_task_handler, tasks))
         outcomes: List[TaskOutcome] = []
-        for index, task in enumerate(tasks):
-            status, value, kind, duration = _execute(task.fn, task.args, task.kwargs)
-            if status == "ok":
-                outcomes.append(TaskOutcome(index, True, value=value,
-                                            duration_s=duration))
-            else:
-                outcomes.append(TaskOutcome(index, False, error=value,
-                                            error_kind=kind, duration_s=duration))
+        for index in range(len(tasks)):
+            worker.send(index)
+            outcomes.append(TaskOutcome(index=index, **vars(worker.recv())))
         return outcomes
 
     # ---------------------------------------------------- pooled path
-    def _chunks(self, indexed: List[Tuple[int, Task]]) -> List[List[Tuple[int, Task]]]:
+    def _chunks(self, n: int) -> List[List[int]]:
         size = self.chunk_size
         if size is None:
-            size = max(1, math.ceil(len(indexed) / (self.max_workers * 4)))
-        return [indexed[i:i + size] for i in range(0, len(indexed), size)]
-
-    def _spawn(self, ctx, chunk: List[Tuple[int, Task]],
-               collect_kernels: bool = False,
-               trace_ctx=None) -> _ActiveWorker:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(target=_worker_main,
-                              args=(chunk, child_conn, collect_kernels,
-                                    trace_ctx),
-                              daemon=True)
-        process.start()
-        child_conn.close()
-        return _ActiveWorker(process, parent_conn, chunk)
-
-    def _reap(self, worker: _ActiveWorker) -> None:
-        worker.conn.close()
-        if worker.process.is_alive():
-            worker.process.terminate()
-            worker.process.join(0.5)
-            if worker.process.is_alive():
-                worker.process.kill()
-        worker.process.join()
+            size = max(1, math.ceil(n / (self.max_workers * 4)))
+        return [list(range(i, min(i + size, n))) for i in range(0, n, size)]
 
     def _run_pooled(self, tasks: Sequence[Task]) -> List[TaskOutcome]:
-        ctx = multiprocessing.get_context(self.start_method)
-        pending = self._chunks(list(enumerate(tasks)))
+        init_fn = functools.partial(_task_handler, tasks)
+        pending = self._chunks(len(tasks))
         outcomes: Dict[int, TaskOutcome] = {}
         failures: Dict[int, int] = {}   # crash/timeout count per task index
         attempts: Dict[int, int] = {}   # executions started per task index
-        active: List[_ActiveWorker] = []
+        slots: List[_Slot] = []
         registry = default_registry()
-        from repro.telemetry.profiler import active_profile
-        from repro.telemetry.trace import current_trace_context, get_recorder
         # Decided once at run start: workers collect kernel stats only
         # when the parent has a profile to merge them into; likewise
         # workers record spans only when the parent has a recorder.
         collect_kernels = active_profile() is not None
         trace_ctx = current_trace_context()
 
-        def start_task(worker: _ActiveWorker) -> None:
-            index = worker.current_index()
-            attempts[index] = attempts.get(index, 0) + 1
+        def start_next(slot: _Slot) -> None:
+            slot.since = time.perf_counter()
+            if slot.queue:
+                attempts[slot.queue[0]] = attempts.get(slot.queue[0], 0) + 1
 
-        def fail_current(worker: _ActiveWorker, kind: str, message: str) -> None:
-            """Attribute a crash/timeout to the in-flight task and
-            reschedule it (bounded) plus the chunk's untouched tail."""
-            registry.counter(f"pool.worker_{kind}s" if kind in
-                             ("crash", "timeout") else
-                             "pool.worker_failures").inc()
-            index = worker.current_index()
+        def retire(slot: _Slot, kind: str) -> None:
+            """Stop a crashed/timed-out worker, retry its running task
+            (bounded) and requeue the tasks queued behind it."""
+            registry.counter(_FAILURE_COUNTERS[kind]).inc()
+            slot.worker.kill()
+            slot.worker.close()
+            slots.remove(slot)
+            if not slot.queue:
+                return
+            index, tail = slot.queue[0], slot.queue[1:]
             failures[index] = failures.get(index, 0) + 1
-            retry = failures[index] <= self.retries
-            tail = worker.remaining()
-            requeue = ([worker.chunk[worker.position]] if retry else []) + tail
-            if not retry:
+            if failures[index] <= self.retries:
+                tail.insert(0, index)
+            else:
                 outcomes[index] = TaskOutcome(
-                    index, False, error=message, error_kind=kind,
+                    False, index=index, error_kind=kind,
+                    error=(f"worker died (exitcode {slot.worker.process.exitcode})"
+                           if kind == "crash" else
+                           f"task exceeded {self.timeout:.3g}s timeout"),
                     attempts=attempts.get(index, 1),
-                    duration_s=time.perf_counter() - worker.last_event,
-                )
-            if requeue:
-                pending.append(requeue)
-            self._reap(worker)
-            active.remove(worker)
+                    duration_s=time.perf_counter() - slot.since)
+            if tail:
+                pending.append(tail)
 
-        while pending or active:
-            while pending and len(active) < self.max_workers:
-                worker = self._spawn(ctx, pending.pop(0), collect_kernels,
-                                     trace_ctx)
-                active.append(worker)
-                start_task(worker)
-            registry.gauge("pool.workers_alive").set(float(len(active)))
+        def assign(slot: _Slot, chunk: List[int]) -> None:
+            slot.queue = chunk
+            start_next(slot)
+            try:
+                for index in chunk:
+                    slot.worker.send(index, kernels=collect_kernels,
+                                     trace=trace_ctx)
+            except OSError:
+                retire(slot, "crash")
 
-            now = time.perf_counter()
-            wait_for = 0.1
-            if self.timeout is not None:
-                deadlines = [w.last_event + self.timeout for w in active]
-                wait_for = max(0.0, min(min(deadlines) - now, wait_for))
-            ready = multiprocessing.connection.wait(
-                [w.conn for w in active], timeout=wait_for)
+        try:
+            while pending or any(slot.queue for slot in slots):
+                for slot in [s for s in slots if not s.queue]:
+                    if pending:
+                        assign(slot, pending.pop(0))
+                while pending and len(slots) < self.max_workers:
+                    slot = _Slot(Worker(init_fn, self.start_method))
+                    slots.append(slot)
+                    assign(slot, pending.pop(0))
+                registry.gauge("pool.workers_alive").set(float(len(slots)))
+                for slot in [s for s in slots if s.worker.lost()]:
+                    retire(slot, "crash")
 
-            for worker in list(active):
-                if worker.conn not in ready:
-                    continue
-                try:
-                    message = worker.conn.recv()
-                except (EOFError, OSError):
-                    fail_current(worker, "crash",
-                                 f"worker died (exitcode "
-                                 f"{worker.process.exitcode})")
-                    continue
-                (status, index, value, kind, duration, snapshot, kernels,
-                 spans) = message
-                if status == "bye":
-                    self._reap(worker)
-                    active.remove(worker)
-                    continue
-                if snapshot:
-                    registry.merge_typed(snapshot)
-                if kernels:
-                    prof = active_profile()
-                    if prof is not None:
-                        prof.merge_kernels(kernels)
-                if spans:
-                    parent_recorder = get_recorder()
-                    if parent_recorder is not None:
-                        parent_recorder.merge_spans(spans)
-                if status == "ok":
+                busy = [slot for slot in slots if slot.queue]
+                wait_for = 0.1
+                if self.timeout is not None and busy:
+                    deadline = min(slot.since for slot in busy) + self.timeout
+                    wait_for = max(0.0, min(deadline - time.perf_counter(),
+                                            wait_for))
+                ready = multiprocessing.connection.wait(
+                    [slot.worker.conn for slot in busy], timeout=wait_for)
+
+                for slot in busy:
+                    if slot.worker.conn not in ready:
+                        continue
+                    try:
+                        reply = slot.worker.recv()
+                    except (EOFError, OSError):
+                        retire(slot, "crash")
+                        continue
+                    index = slot.queue.pop(0)
+                    slot.worker.merge(reply)
                     outcomes[index] = TaskOutcome(
-                        index, True, value=value,
-                        attempts=attempts.get(index, 1), duration_s=duration,
-                        telemetry=snapshot or {}, kernels=kernels or {},
-                        spans=list(spans or []),
-                    )
-                else:
-                    outcomes[index] = TaskOutcome(
-                        index, False, error=value, error_kind=kind,
-                        attempts=attempts.get(index, 1), duration_s=duration,
-                        telemetry=snapshot or {}, kernels=kernels or {},
-                        spans=list(spans or []),
-                    )
-                worker.last_event = time.perf_counter()
-                worker.position += 1
-                if worker.position < len(worker.chunk):
-                    start_task(worker)
+                        index=index, attempts=attempts.get(index, 1),
+                        **vars(reply))
+                    start_next(slot)
 
-            if self.timeout is not None:
-                now = time.perf_counter()
-                for worker in list(active):
-                    if (worker.position < len(worker.chunk)
-                            and now - worker.last_event > self.timeout):
-                        fail_current(
-                            worker, "timeout",
-                            f"task exceeded {self.timeout:.3g}s timeout")
-
-            # a worker that exited without a farewell (e.g. os._exit
-            # right after its last send) still needs collecting
-            for worker in list(active):
-                if not worker.process.is_alive() and not worker.conn.poll():
-                    if worker.position < len(worker.chunk):
-                        fail_current(worker, "crash",
-                                     f"worker died (exitcode "
-                                     f"{worker.process.exitcode})")
-                    else:
-                        self._reap(worker)
-                        active.remove(worker)
-
-        registry.gauge("pool.workers_alive").set(0.0)
+                if self.timeout is not None:
+                    now = time.perf_counter()
+                    for slot in [s for s in slots if s.queue]:
+                        if now - slot.since > self.timeout:
+                            retire(slot, "timeout")
+        finally:
+            for slot in slots:
+                slot.worker.close()
+            registry.gauge("pool.workers_alive").set(0.0)
         return [outcomes[i] for i in sorted(outcomes)]

@@ -1,7 +1,7 @@
 """Persistent shard workers: the long-lived counterpart of :class:`WorkerPool`.
 
 :class:`~repro.parallel.pool.WorkerPool` is built for *finite* fan-out:
-it spawns workers per chunk, runs a fixed task list, and tears down.  A
+it runs a fixed task list and tears its workers down.  A
 serving front end needs the opposite shape -- a small set of
 **persistent** worker processes, each holding expensive state (a loaded
 model artifact), answering a stream of requests until shut down.
@@ -18,11 +18,15 @@ pool established:
   ``error_kind="timeout"`` result (the shard is left alone -- it may
   still be doing useful work for later requests).
 
-Shards are started with the ``fork`` start method so the ``init_fn``
-and payloads travel by memory inheritance; where ``fork`` is
-unavailable the pool transparently degrades to in-process serial
-execution with identical result semantics (and no crash isolation,
-as with the WorkerPool's serial fallback).
+Each shard is a :class:`~repro.parallel.worker.Worker` started with
+the ``fork`` start method, so the ``init_fn`` travels by memory
+inheritance; replies come back in request order, so the oldest
+in-flight ticket of a shard owns its next reply.  Each reply's counter
+(and other metric) movement is merged into the parent registry.  Where
+``fork`` is unavailable every slot is served by one shared in-process
+:class:`~repro.parallel.worker.InlineWorker` with identical result
+semantics (and no crash isolation, as with the WorkerPool's serial
+fallback).
 
 A background collector thread owns every shard pipe; :meth:`submit` /
 :meth:`result` are thread-safe, so the asyncio server can dispatch
@@ -40,101 +44,35 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ServeError
+from repro.parallel.worker import InlineWorker, Reply, Worker
 from repro.telemetry.metrics import default_registry
 
 __all__ = ["ShardResult", "ShardPool"]
 
 
 @dataclass
-class ShardResult:
-    """Outcome of one shard request (mirrors the pool's TaskOutcome)."""
+class ShardResult(Reply):
+    """Outcome of one shard request: the shard's
+    :class:`~repro.parallel.worker.Reply` (``error_kind`` may also be
+    ``"crash"`` or ``"timeout"``) plus its ``ticket``, ``shard`` and
+    ``attempts``."""
 
-    ticket: int
-    ok: bool
-    value: Any = None
-    error: str = ""
-    error_kind: str = ""       # "" | "exception" | "crash" | "timeout"
+    ticket: int = -1
     shard: int = -1
     attempts: int = 1
-    duration_s: float = 0.0
-
-
-def _counter_deltas(baseline: Dict[str, float]) -> Dict[str, float]:
-    """Positive counter movement since ``baseline`` (which is advanced).
-
-    Shard children fork with a copy of the parent's registry, so
-    counters bumped inside a shard (cache hits, handler-level tallies)
-    are invisible to the parent.  Each reply ships the per-request
-    counter *deltas* home instead; baselining after handler init keeps
-    the inherited parent values out of the first delta.
-    """
-    current = default_registry().typed_snapshot()["counters"]
-    deltas: Dict[str, float] = {}
-    for name, value in current.items():
-        moved = float(value) - baseline.get(name, 0.0)
-        if moved > 0:
-            deltas[name] = moved
-        baseline[name] = float(value)
-    return deltas
-
-
-def _shard_main(index: int, init_fn: Callable[[], Callable[[Any], Any]],
-                conn) -> None:
-    """Shard entrypoint: build the handler once, then serve requests.
-
-    Module-level for start-method safety.  ``init_fn`` returns the
-    request handler; an init failure is reported once and the shard
-    exits (the parent treats further traffic to it as a crash).  Replies
-    are 6-tuples ``(status, ticket, value, error, duration, deltas)``
-    where ``deltas`` maps counter names to their movement during the
-    request; the parent folds them into its own registry.
-    """
-    try:
-        handler = init_fn()
-    except Exception as exc:
-        try:
-            conn.send(("init_error", -1, None, repr(exc), 0.0, {}))
-        finally:
-            conn.close()
-        return
-    baseline = dict(default_registry().typed_snapshot()["counters"])
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            break
-        if message is None:  # orderly shutdown
-            break
-        ticket, payload = message
-        start = time.perf_counter()
-        try:
-            value = handler(payload)
-            reply = ("ok", ticket, value, "", time.perf_counter() - start,
-                     _counter_deltas(baseline))
-        except Exception as exc:
-            reply = ("err", ticket, None, repr(exc),
-                     time.perf_counter() - start, _counter_deltas(baseline))
-        try:
-            conn.send(reply)
-        except Exception as exc:  # unpicklable handler result
-            conn.send(("err", ticket, None,
-                       f"unpicklable result: {exc!r}",
-                       time.perf_counter() - start, {}))
-    conn.close()
 
 
 class _Shard:
     """Parent-side state for one shard slot."""
 
-    __slots__ = ("index", "process", "conn", "inflight", "respawns", "dead")
+    __slots__ = ("index", "worker", "inflight", "respawns", "dead")
 
-    def __init__(self, index: int) -> None:
+    def __init__(self, index: int, worker: Any) -> None:
         self.index = index
-        self.process = None
-        self.conn = None
-        self.inflight: Dict[int, Any] = {}  # ticket -> payload
+        self.worker = worker
+        self.inflight: Dict[int, Any] = {}  # ticket -> payload, send order
         self.respawns = 0
-        self.dead = True
+        self.dead = False
 
 
 class ShardPool:
@@ -182,19 +120,13 @@ class ShardPool:
         self._tickets = itertools.count()
         self._rr = itertools.count()
         self._closed = False
-        self._shards: List[_Shard] = [_Shard(i) for i in range(self.n_shards)]
-        self._handler: Optional[Callable[[Any], Any]] = None
+        self._inline = InlineWorker(init_fn) if self.serial else None
+        self._shards: List[_Shard] = [_Shard(i, self._new_worker())
+                                      for i in range(self.n_shards)]
+        self._set_alive_gauge(self.n_shards)
         self._collector: Optional[threading.Thread] = None
-        self._wake_r, self._wake_w = None, None
-
-        if self.serial:
-            self._handler = init_fn()
-            self._set_alive_gauge(self.n_shards)
-        else:
-            self._ctx = multiprocessing.get_context(self.start_method)
+        if not self.serial:
             self._wake_r, self._wake_w = multiprocessing.Pipe(duplex=False)
-            for shard in self._shards:
-                self._spawn(shard)
             self._collector = threading.Thread(
                 target=self._collect_loop, daemon=True, name="repro-shards")
             self._collector.start()
@@ -203,17 +135,8 @@ class ShardPool:
     def _set_alive_gauge(self, count: int) -> None:
         default_registry().gauge("serve.shards_alive").set(float(count))
 
-    def _spawn(self, shard: _Shard) -> None:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=_shard_main, args=(shard.index, self.init_fn, child_conn),
-            daemon=True)
-        process.start()
-        child_conn.close()
-        shard.process = process
-        shard.conn = parent_conn
-        shard.dead = False
-        self._set_alive_gauge(sum(not s.dead for s in self._shards))
+    def _new_worker(self) -> Any:
+        return self._inline or Worker(self.init_fn, self.start_method)
 
     def close(self) -> None:
         """Shut every shard down and stop the collector."""
@@ -222,27 +145,15 @@ class ShardPool:
                 return
             self._closed = True
             self._results_ready.notify_all()
-        if self.serial:
-            self._set_alive_gauge(0)
-            return
-        try:
-            self._wake_w.send(b"x")
-        except Exception:
-            pass
         if self._collector is not None:
+            try:
+                self._wake_w.send(b"x")
+            except Exception:
+                pass
             self._collector.join(timeout=2.0)
         for shard in self._shards:
-            if shard.conn is not None:
-                try:
-                    shard.conn.send(None)
-                except Exception:
-                    pass
-                shard.conn.close()
-            if shard.process is not None:
-                shard.process.join(timeout=1.0)
-                if shard.process.is_alive():
-                    shard.process.terminate()
-                    shard.process.join(timeout=1.0)
+            shard.dead = True
+            shard.worker.close()
         self._set_alive_gauge(0)
 
     def __enter__(self) -> "ShardPool":
@@ -254,9 +165,7 @@ class ShardPool:
 
     # -------------------------------------------------------------- queries
     def alive(self) -> List[bool]:
-        """Liveness per shard slot (serial mode: all True until close)."""
-        if self.serial:
-            return [not self._closed] * self.n_shards
+        """Liveness per shard slot (all False once closed)."""
         return [not shard.dead for shard in self._shards]
 
     def kill_shard(self, index: int) -> bool:
@@ -265,13 +174,7 @@ class ShardPool:
         Returns True when a live process was killed; serial mode has no
         processes to kill and returns False.
         """
-        if self.serial:
-            return False
-        shard = self._shards[index]
-        if shard.process is None or not shard.process.is_alive():
-            return False
-        shard.process.kill()
-        return True
+        return self._shards[index].worker.kill()
 
     # ------------------------------------------------------------- requests
     def submit(self, payload: Any, shard: Optional[int] = None) -> int:
@@ -286,30 +189,15 @@ class ShardPool:
                 raise ServeError("ShardPool is closed")
             ticket = next(self._tickets)
             self._attempts[ticket] = 1
-            if self.serial:
-                self._results[ticket] = self._run_serial(ticket, payload)
-                self._results_ready.notify_all()
-                return ticket
             target = self._pick_shard(shard)
             if target is None:
                 self._results[ticket] = ShardResult(
-                    ticket, False, error="no live shards",
+                    False, ticket=ticket, error="no live shards",
                     error_kind="crash", attempts=0)
                 self._results_ready.notify_all()
                 return ticket
             self._send(target, ticket, payload)
             return ticket
-
-    def _run_serial(self, ticket: int, payload: Any) -> ShardResult:
-        start = time.perf_counter()
-        try:
-            value = self._handler(payload)
-        except Exception as exc:
-            return ShardResult(ticket, False, error=repr(exc),
-                               error_kind="exception", shard=0,
-                               duration_s=time.perf_counter() - start)
-        return ShardResult(ticket, True, value=value, shard=0,
-                           duration_s=time.perf_counter() - start)
 
     def _pick_shard(self, index: Optional[int]) -> Optional[_Shard]:
         if index is not None:
@@ -323,11 +211,14 @@ class ShardPool:
     def _send(self, shard: _Shard, ticket: int, payload: Any) -> None:
         shard.inflight[ticket] = payload
         try:
-            shard.conn.send((ticket, payload))
+            shard.worker.send(payload)
         except Exception:
             # pipe already broken: let the collector's death handling
             # retry/record it the same way a mid-request crash would be
             self._on_shard_death(shard)
+            return
+        if self.serial:  # the inline reply is ready at once
+            self._on_reply(shard, shard.worker.recv())
 
     def result(self, ticket: int,
                timeout: Optional[float] = None) -> ShardResult:
@@ -346,12 +237,12 @@ class ShardPool:
                         self._attempts.pop(ticket, None)
                         self._abandoned.add(ticket)
                         return ShardResult(
-                            ticket, False,
+                            False, ticket=ticket,
                             error=f"request exceeded {timeout:.3g}s timeout",
                             error_kind="timeout")
                 self._results_ready.wait(timeout=remaining)
                 if self._closed and ticket not in self._results:
-                    return ShardResult(ticket, False,
+                    return ShardResult(False, ticket=ticket,
                                        error="ShardPool closed while waiting",
                                        error_kind="crash")
             return self._results.pop(ticket)
@@ -367,7 +258,12 @@ class ShardPool:
             with self._lock:
                 if self._closed:
                     return
-                conns = [s.conn for s in self._shards if not s.dead]
+                # a shard can die (or lose its pipe) with no message
+                # left to read, which wait() alone would never report
+                for shard in self._shards:
+                    if not shard.dead and shard.worker.lost():
+                        self._on_shard_death(shard)
+                conns = [s.worker.conn for s in self._shards if not s.dead]
             try:
                 ready = multiprocessing.connection.wait(
                     conns + [self._wake_r], timeout=0.2)
@@ -385,46 +281,29 @@ class ShardPool:
                 continue
             with self._lock:
                 for shard in self._shards:
-                    if shard.dead or shard.conn not in ready:
+                    if shard.dead or shard.worker.conn not in ready:
                         continue
                     try:
-                        message = shard.conn.recv()
+                        reply = shard.worker.recv()
                     except (EOFError, OSError):
                         self._on_shard_death(shard)
                         continue
-                    self._on_message(shard, message)
-                # shards can die without a final message being ready
-                for shard in self._shards:
-                    if (not shard.dead and shard.process is not None
-                            and not shard.process.is_alive()
-                            and not shard.conn.poll()):
-                        self._on_shard_death(shard)
+                    self._on_reply(shard, reply)
 
-    def _on_message(self, shard: _Shard, message: Any) -> None:
-        status, ticket, value, error, duration = message[:5]
-        deltas = message[5] if len(message) > 5 else None
-        if deltas:
-            registry = default_registry()
-            for name, moved in deltas.items():
-                if moved > 0:
-                    registry.counter(str(name)).inc(float(moved))
-        if status == "init_error":
+    def _on_reply(self, shard: _Shard, reply: Reply) -> None:
+        shard.worker.merge(reply)
+        if reply.error_kind == "init":
             # the shard never became serviceable; treat as death
-            self._on_shard_death(shard, reason=f"init failed: {error}")
+            self._on_shard_death(shard, reason=f"init failed: {reply.error}")
             return
-        shard.inflight.pop(ticket, None)
+        ticket = next(iter(shard.inflight))
+        del shard.inflight[ticket]
         attempts = self._attempts.pop(ticket, 1)
         if ticket in self._abandoned:  # waiter already timed out and left
             self._abandoned.discard(ticket)
             return
-        if status == "ok":
-            self._results[ticket] = ShardResult(
-                ticket, True, value=value, shard=shard.index,
-                attempts=attempts, duration_s=duration)
-        else:
-            self._results[ticket] = ShardResult(
-                ticket, False, error=error, error_kind="exception",
-                shard=shard.index, attempts=attempts, duration_s=duration)
+        self._results[ticket] = ShardResult(
+            ticket=ticket, shard=shard.index, attempts=attempts, **vars(reply))
         self._results_ready.notify_all()
 
     def _on_shard_death(self, shard: _Shard,
@@ -432,24 +311,18 @@ class ShardPool:
         """Record the death, respawn the slot (bounded), retry in-flight."""
         registry = default_registry()
         registry.counter("serve.shard_deaths").inc()
-        exitcode = getattr(shard.process, "exitcode", None)
-        message = reason or f"shard {shard.index} died (exitcode {exitcode})"
         shard.dead = True
-        try:
-            shard.conn.close()
-        except Exception:
-            pass
-        if shard.process is not None:
-            if shard.process.is_alive():
-                shard.process.terminate()
-            shard.process.join(timeout=0.5)
+        shard.worker.close(timeout=0.5)
+        message = reason or (f"shard {shard.index} died "
+                             f"(exitcode {shard.worker.process.exitcode})")
         inflight = list(shard.inflight.items())
         shard.inflight.clear()
-        self._set_alive_gauge(sum(not s.dead for s in self._shards))
         if shard.respawns < self.max_respawns and reason is None:
             shard.respawns += 1
             registry.counter("serve.shard_respawns").inc()
-            self._spawn(shard)
+            shard.worker = self._new_worker()
+            shard.dead = False
+        self._set_alive_gauge(sum(not s.dead for s in self._shards))
         for ticket, payload in inflight:
             if ticket in self._abandoned:  # waiter already timed out
                 self._abandoned.discard(ticket)
@@ -465,6 +338,6 @@ class ShardPool:
                     continue
             self._attempts.pop(ticket, None)
             self._results[ticket] = ShardResult(
-                ticket, False, error=message, error_kind="crash",
+                False, ticket=ticket, error=message, error_kind="crash",
                 shard=shard.index, attempts=attempts)
         self._results_ready.notify_all()

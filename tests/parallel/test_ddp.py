@@ -204,7 +204,7 @@ def test_dead_worker_raises_instead_of_hanging():
     trainer = _make_trainer(ddp_workers=2, epochs=4)
     try:
         trainer.train_epoch()
-        victim = trainer._ddp._procs[1]
+        victim = trainer._ddp._workers[1].process
         os.kill(victim.pid, signal.SIGKILL)
         victim.join(timeout=5)
         with pytest.raises(DDPError):
@@ -225,11 +225,11 @@ def test_close_then_retrain_reforks():
     trainer = _make_trainer(ddp_workers=2, epochs=4)
     try:
         trainer.train_epoch()
-        first_pids = {p.pid for p in trainer._ddp._procs.values()}
+        first_pids = {w.process.pid for w in trainer._ddp._workers.values()}
         trainer.close()
         assert trainer._ddp is None
         trainer.train_epoch()
-        second_pids = {p.pid for p in trainer._ddp._procs.values()}
+        second_pids = {w.process.pid for w in trainer._ddp._workers.values()}
         assert first_pids.isdisjoint(second_pids)
     finally:
         trainer.close()

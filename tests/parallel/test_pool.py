@@ -129,6 +129,25 @@ class TestFailureIsolation:
         assert outcomes[1].ok and outcomes[1].value == 4
 
 
+class TestCrashTelemetry:
+    def test_crash_reaches_health_and_fires_worker_death(self):
+        """A pooled crash bumps the counter that /health and the
+        built-in ``worker_death`` rule read."""
+        from repro.monitor.alerts import default_rules
+        from repro.telemetry.export import MetricsExporter
+
+        registry = default_registry()
+        registry.counter("pool.worker_crashes").reset()
+        outcome = WorkerPool(max_workers=2, retries=0).run(
+            [Task(hard_crash)])[0]
+        assert outcome.error_kind == "crash"
+        with MetricsExporter(port=0) as exporter:
+            assert exporter.health()["worker_crashes"] == 1
+        rule = next(r for r in default_rules() if r.name == "worker_death")
+        alert = rule.evaluate_registry(registry.flat_snapshot(), epoch=None)
+        assert alert is not None and alert.rule == "worker_death"
+
+
 class TestTimeouts:
     def test_timeout_is_reported_not_hung(self):
         pool = WorkerPool(max_workers=2, timeout=0.3, retries=0)

@@ -17,9 +17,10 @@ floor with::
     PYTHONPATH=src python -m pytest --repro-cov -m "not slow"
 
 Known limit: lines that execute only inside worker *processes* (the
-``_worker_main`` body) are invisible to the parent's trace hook, so the
-floor is set with that in mind; everything else in the layer runs
-in-process somewhere in the suite.
+child loop of ``repro.parallel.worker``: ``_child_main`` and
+``_serve_one``, plus the DDP rank handler) are invisible to the
+parent's trace hook, so the floor is set with that in mind; everything
+else in the layer runs in-process somewhere in the suite.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ TARGET_FILES = (
     "src/repro/parallel/pool.py",
     "src/repro/parallel/seeding.py",
     "src/repro/parallel/shards.py",
+    "src/repro/parallel/worker.py",
     "src/repro/serve/__init__.py",
     "src/repro/serve/artifacts.py",
     "src/repro/serve/batcher.py",

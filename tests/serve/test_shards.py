@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import threading
 import time
 
 import pytest
@@ -30,6 +31,20 @@ def _make_handler():
                 time.sleep(0.02)
             return "unblocked"
         return payload * 2
+
+    return handle
+
+
+def _lock_returning_handler():
+    """Counts every call, then answers a 'lock' payload with a value
+    that cannot be pickled."""
+    registry = default_registry()
+
+    def handle(payload):
+        registry.counter("test.unpicklable_calls").inc()
+        if payload == "lock":
+            return threading.Lock()
+        return payload
 
     return handle
 
@@ -177,3 +192,15 @@ class TestProcessShards:
             result = pool.request(1, timeout=10)
             assert not result.ok
             assert result.error_kind == "crash"
+
+    def test_unpicklable_result_keeps_its_counter_movement(self):
+        counter = default_registry().counter("test.unpicklable_calls")
+        before = counter.value
+        with ShardPool(_lock_returning_handler, shards=1) as pool:
+            good = pool.request(1, timeout=10)
+            bad = pool.request("lock", timeout=10)
+            assert pool.alive() == [True], "the shard keeps serving"
+        assert good.ok and good.value == 1
+        assert not bad.ok and bad.error_kind == "exception"
+        assert "unpicklable" in bad.error
+        assert counter.value == before + 2
