@@ -24,7 +24,10 @@ attribute lookup per kernel call.  Installing a kernel hook (see
 :func:`set_kernel_hook`) makes every *top-level* kernel call report
 ``(backend_name, kernel_name, seconds, nbytes)`` -- nested kernel calls
 (e.g. ``conv2d_forward`` calling ``im2col``) are attributed to the
-outermost kernel so totals never double-count.
+outermost kernel so totals never double-count.  A kernel trace (see
+:func:`set_kernel_trace`) sees the same top-level calls with their
+arguments; serving's inference capture (:mod:`repro.serve.infer`)
+records a forward pass through it.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ _active: Optional["Backend"] = None
 _kernel_hook: Optional[KernelHook] = None
 _hook_depth: int = 0
 
-# Kernel-level capture hook (repro.graph.infer): ``trace(kernel_name,
+# Kernel-level capture hook (repro.serve.infer): ``trace(kernel_name,
 # args, kwargs, out)`` fires for every *top-level* kernel call -- nested
 # calls (conv2d_forward invoking im2col) are suppressed with a separate
 # depth guard so a replayed outer kernel re-runs its inner calls itself.

@@ -39,7 +39,8 @@ class ServeError(ReproError):
 
 
 class GraphError(ReproError):
-    """Graph capture or compilation was requested in an unsupported state."""
+    """Inference capture (:mod:`repro.serve.infer`) cannot build or replay
+    a faithful program; callers fall back to eager execution."""
 
 
 class DDPError(ReproError):

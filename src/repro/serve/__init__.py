@@ -11,6 +11,9 @@ is that serving stack, end to end:
 * :mod:`repro.serve.server` -- :class:`ModelServer`, the asyncio front
   end dispatching batches across a
   :class:`~repro.parallel.shards.ShardPool`;
+* :mod:`repro.serve.infer` -- kernel-level capture of a model's
+  forward pass into a replayable ``InferProgram``, verified
+  bitwise against eager; shards replay it per input signature;
 * :mod:`repro.serve.loadgen` -- seeded heavy-tailed open-loop traffic
   with byte-replayable traces;
 * :mod:`repro.serve.http` -- a stdlib HTTP/1.1 face for cross-process

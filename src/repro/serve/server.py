@@ -68,9 +68,6 @@ class ServeConfig:
     cache_capacity: int = 2
     request_timeout_s: float = 30.0
     start_method: Optional[str] = None  # ShardPool default (fork or serial)
-    compile: bool = True  # replay per-(artifact, shape) compiled forward
-    #   graphs in the shards (repro.graph.infer); capture verifies
-    #   bitwise against eager, any failure stays eager per shape
     trace_requests: bool = True  # per-request observability: stage spans
     #   (when a recorder is active), serve.slo.* histograms, and the
     #   flight-recorder ring (repro.serve.tracing)
@@ -125,9 +122,9 @@ class InferenceResponse:
         return record
 
 
-#: Per-shard cap on cached compiled forward programs; one entry per
-#: (artifact, input shape/dtype, backend) signature, so coalesced
-#: batches of varying size each get their own schedule.
+#: Per-shard cap on cached captured forward programs; one entry per
+#: (artifact fingerprint, input shape/dtype, backend) signature, so
+#: coalesced batches of varying size each get their own schedule.
 _INFER_PROGRAM_CAPACITY = 16
 
 
@@ -140,12 +137,15 @@ def _make_shard_handler(cache_capacity: int,
     state is loaded at most ``cache_capacity`` times per shard, not per
     request.
 
-    When the payload allows it, the first request per (artifact, input
-    signature, backend) is traced at the kernel level into an
-    :class:`~repro.graph.infer.InferProgram` -- capture verifies the
-    replay bitwise against eager on two inputs, so compiled responses
+    The first request per (artifact fingerprint, input signature,
+    backend) is traced at the kernel level into an
+    :class:`~repro.serve.infer.InferProgram` -- capture verifies the
+    replay bitwise against eager on two inputs, so replayed responses
     are exactly the eager responses.  Anything uncapturable is cached
     as "stay eager" for that signature and served the plain way.
+    Programs freeze the weights they captured, so they are keyed on
+    the artifact's fingerprint, never its path: a model re-saved at the
+    same path gets fresh programs once the cache reloads it.
     """
     import collections
 
@@ -157,28 +157,22 @@ def _make_shard_handler(cache_capacity: int,
     programs: "collections.OrderedDict" = collections.OrderedDict()
 
     def handle(payload: Mapping[str, Any]) -> np.ndarray:
-        model, _ = cache.get(payload["artifact"])
+        model, artifact = cache.get(payload["artifact"])
         inputs = np.ascontiguousarray(payload["inputs"])
         backend_name = payload.get("backend", backend)
 
-        def eager() -> np.ndarray:
+        def forward(x: np.ndarray) -> np.ndarray:
             with _backend.use_backend(backend_name), no_grad():
-                return np.asarray(model(Tensor(inputs)).data)
+                return np.asarray(model(Tensor(x)).data)
 
-        if not payload.get("compile", False):
-            return eager()
-        key = (payload["artifact"], inputs.shape, str(inputs.dtype),
+        key = (artifact.fingerprint, inputs.shape, str(inputs.dtype),
                backend_name)
         registry = default_registry()
         program = programs.get(key, False)
         if program is False:
-            def fn(x: np.ndarray) -> np.ndarray:
-                with _backend.use_backend(backend_name), no_grad():
-                    return np.asarray(model(Tensor(x)).data)
-
-            from repro.graph.infer import capture_infer
+            from repro.serve.infer import capture_infer
             try:
-                program = capture_infer(fn, inputs)
+                program = capture_infer(forward, inputs)
                 registry.counter("serve.infer_captures").inc()
             except GraphError:
                 program = None  # remembered: this signature stays eager
@@ -191,11 +185,11 @@ def _make_shard_handler(cache_capacity: int,
         else:
             programs.move_to_end(key)
         if program is None:
-            return eager()
+            return forward(inputs)
         try:
             outputs = program.run(inputs)
         except GraphError:
-            return eager()
+            return forward(inputs)
         registry.counter("serve.infer_replays").inc()
         return outputs
 
@@ -528,8 +522,7 @@ class ModelServer:
         stacked = np.concatenate([r.payload for r in batch], axis=0) \
             if len(batch) > 1 else batch[0].payload
         payload = {"artifact": self._artifacts[key], "inputs": stacked,
-                   "backend": self.config.backend,
-                   "compile": self.config.compile}
+                   "backend": self.config.backend}
         loop = asyncio.get_event_loop()
         with span("serve.batch", model=key, requests=len(batch),
                   rows=int(sum(sizes))):

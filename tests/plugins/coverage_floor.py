@@ -45,6 +45,7 @@ TARGET_FILES = (
     "src/repro/serve/http.py",
     "src/repro/serve/tracing.py",
     "src/repro/serve/analyze.py",
+    "src/repro/serve/infer.py",
     "src/repro/telemetry/slo.py",
     "src/repro/pipeline/sweep.py",
     "src/repro/backend/__init__.py",
@@ -64,14 +65,6 @@ TARGET_FILES = (
     "src/repro/telemetry/export.py",
     "src/repro/precision.py",
     "src/repro/autograd/planner.py",
-    "src/repro/backend/compiled.py",
-    "src/repro/graph/__init__.py",
-    "src/repro/graph/ir.py",
-    "src/repro/graph/trace.py",
-    "src/repro/graph/compiler.py",
-    "src/repro/graph/executor.py",
-    "src/repro/graph/infer.py",
-    "src/repro/graph/equivalence.py",
     "src/repro/autograd/function.py",
 )
 

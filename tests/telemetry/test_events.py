@@ -99,12 +99,8 @@ class TestRunManifest:
         assert len(manifest.config_hash) == 16
         assert manifest.telemetry == {"m": 1}
         assert manifest.extra["dataset"] == "cifar"
-        # every manifest records the graph-compiler configuration snapshot
-        graph = manifest.extra["graph"]
-        assert set(graph["capabilities"]) == {
-            "graph_compiler", "fusion", "tiling",
-        }
-        assert isinstance(graph["compile_default"], bool)
+        # create() adds to extra only the live exporter's endpoint
+        assert set(manifest.extra) - {"metrics_endpoint"} == {"dataset"}
         assert manifest.created_at > 0
 
     def test_create_snapshots_default_registry(self):
