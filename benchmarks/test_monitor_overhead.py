@@ -3,9 +3,10 @@
 Times the same attack-training epoch with and without the full default
 probe suite attached (correlation, drift, decode, grad/update, memory,
 throughput, kernel share) and asserts the probed epoch stays under the
-overhead budget.  The per-epoch numbers and the overhead fraction are
-pushed into the session's BENCH_monitor.json entry so the trend is
-tracked across sessions (``repro report --bench monitor``).
+overhead budget.  The per-epoch numbers and the signed overhead
+fraction are printed (``pytest -s``); a negative overhead means the
+probed epoch ran faster, i.e. the probe cost is below the run-to-run
+noise.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ pytestmark = pytest.mark.slow
 # made training ~1.5x faster while the probe suite stays pinned to
 # float64 metrics by design (repro.precision.METRICS_DTYPE), so the
 # same absolute probe cost is a larger fraction than under the old
-# float64 compute path (where the budget was 7%).  Absolute probe cost
-# drift is still caught by the BENCH_monitor.json trend comparator.
+# float64 compute path (where the budget was 7%).  The gate prints both
+# epoch times, so the absolute probe cost stays visible.
 OVERHEAD_BUDGET = 0.15
 
 
@@ -68,7 +69,7 @@ def _best_epoch_seconds(trainer: Trainer, repeats: int = 3) -> float:
     return best
 
 
-def test_monitor_probe_overhead(bench_metrics):
+def test_monitor_probe_overhead():
     model, batch, labels, groups, payload, mean, std, penalty = _attack_setup()
     config = TrainingConfig(epochs=1, batch_size=32, lr=0.05, seed=0)
 
@@ -83,9 +84,9 @@ def test_monitor_probe_overhead(bench_metrics):
     probed_s = _best_epoch_seconds(probed)
 
     overhead = probed_s / bare_s - 1.0
-    bench_metrics["monitor_bare_epoch_s"] = bare_s
-    bench_metrics["monitor_probed_epoch_s"] = probed_s
-    bench_metrics["monitor_overhead_frac"] = max(0.0, overhead)
+    print(f"\nmonitor probe overhead: bare {bare_s * 1e3:.1f} ms/epoch vs "
+          f"probed {probed_s * 1e3:.1f} ms/epoch -> {overhead:+.2%} "
+          f"(budget {OVERHEAD_BUDGET:.0%})")
 
     assert monitor.probe_records(scope="epoch"), "probes never fired"
     assert not monitor.errors(), f"probe errors: {monitor.errors()}"

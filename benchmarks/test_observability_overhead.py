@@ -4,14 +4,13 @@ Times the same monitored attack-training epoch with and without the
 full observability stack live on top of it -- metrics exporter thread,
 wall-clock stack sampler, and the default alert-rule engine -- and
 asserts the stack adds under the overhead budget.  Per-epoch numbers
-and the overhead fraction are appended to BENCH_observability.json so
-the trend is tracked across sessions (``repro info`` surfaces the
-latest entry).
+and the signed overhead fraction are printed (``pytest -s``); a
+negative overhead means the observed epoch ran faster, i.e. the stack's
+cost is below the run-to-run noise.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -46,7 +45,7 @@ def _monitored_trainer(alerts=None):
     return trainer, monitor
 
 
-def test_observability_stack_overhead(request):
+def test_observability_stack_overhead():
     trainer, monitor = _monitored_trainer()
     trainer.train_epoch()  # warm-up: first-touch allocations stay untimed
     monitored_s = _best_epoch_seconds(trainer)
@@ -63,20 +62,10 @@ def test_observability_stack_overhead(request):
         stop_exporter()
 
     overhead = observed_s / monitored_s - 1.0
-    metrics = {
-        "monitored_epoch_s": monitored_s,
-        "observed_epoch_s": observed_s,
-        "observability_overhead_frac": max(0.0, overhead),
-        "sampler_samples": float(sampler.sample_count),
-    }
-
-    from repro.monitor import BenchStore
-    root = os.environ.get("REPRO_BENCH_DIR") or str(request.config.rootpath)
-    store = BenchStore(root)
-    try:
-        store.append("observability", metrics)
-    except OSError as exc:
-        pytest.skip(f"could not write {store.path('observability')}: {exc}")
+    print(f"\nobservability overhead: monitored {monitored_s * 1e3:.1f} "
+          f"ms/epoch vs observed {observed_s * 1e3:.1f} ms/epoch -> "
+          f"{overhead:+.2%} ({sampler.sample_count} sampler samples, "
+          f"budget {OVERHEAD_BUDGET:.0%})")
 
     # the stack actually observed something while training ran
     assert sampler.sample_count > 0

@@ -7,8 +7,10 @@ in the noise next to real inference work: this gate replays the same
 open-loop trace through two otherwise-identical servers -- tracing off
 vs. the full stack on (request spans into a live recorder + SLO
 histograms + flight ring) -- and asserts the observed throughput drop
-stays under the budget.  Numbers land in ``BENCH_serve_obs.json`` so
-the trend is tracked across sessions.
+stays under the budget.  The gate prints both throughputs and the
+signed overhead of every pair (``pytest -s``); a negative overhead
+means the traced server ran faster, i.e. tracing costs less than the
+run-to-run noise.
 
 Marked ``slow``; shard execution is in-process serial so the gate
 measures tracing overhead, not fork latency.
@@ -17,7 +19,6 @@ measures tracing overhead, not fork latency.
 from __future__ import annotations
 
 import asyncio
-import os
 
 import numpy as np
 import pytest
@@ -86,7 +87,7 @@ def _run(path, trace, traced, flight_dir=None):
 
 
 class TestServingObservabilityOverhead:
-    def test_tracing_overhead_under_budget(self, artifact, tmp_path, request):
+    def test_tracing_overhead_under_budget(self, artifact, tmp_path):
         trace = _trace()
         _run(artifact, trace, traced=True,
              flight_dir=str(tmp_path))  # warm-up: caches, BLAS init
@@ -108,28 +109,10 @@ class TestServingObservabilityOverhead:
         baseline, observed = max(p[0] for p in pairs), max(p[1] for p in pairs)
         print(f"\nserving observability overhead: "
               f"off {baseline:.0f} rps vs on {observed:.0f} rps, "
-              f"best-pair overhead {max(0.0, overhead):.2%} "
-              f"(pairs {[f'{o:.1%}' for o in overheads]}, "
+              f"best-pair overhead {overhead:+.2%}, median "
+              f"{sorted(overheads)[len(overheads) // 2]:+.2%} "
+              f"(pairs {[f'{o:+.1%}' for o in overheads]}, "
               f"budget {OVERHEAD_BUDGET:.0%})")
-
-        root = (os.environ.get("REPRO_BENCH_DIR")
-                or str(request.config.rootpath))
-        from repro.monitor import BenchStore
-
-        store = BenchStore(root)
-        metrics = {
-            "baseline_rps": round(baseline, 2),
-            "traced_rps": round(observed, 2),
-            "tracing_overhead_frac": round(max(0.0, overhead), 4),
-            "tracing_overhead_median_frac": round(
-                max(0.0, sorted(overheads)[len(overheads) // 2]), 4),
-        }
-        try:
-            store.append("serve_obs", metrics)
-            for regression in store.check("serve_obs", metrics):
-                print(f"[bench] regression: {regression}")
-        except OSError as exc:  # read-only checkouts must not fail the gate
-            print(f"[bench] could not write {store.path('serve_obs')}: {exc}")
 
         assert overhead < OVERHEAD_BUDGET, (
             f"per-request tracing costs {overhead:.1%} of serving "

@@ -8,8 +8,7 @@ Subcommands:
 * ``audit``        -- run the defender's pre-release audit on an attack run.
 * ``monitor``      -- attack run with the in-training probe suite
   (``repro.monitor``), writing a JSONL timeseries.
-* ``report``       -- render a monitor timeseries (or diff two), or a
-  stored benchmark trajectory (``--bench``).
+* ``report``       -- render a monitor timeseries, or diff two.
 * ``alerts``       -- replay the alert rules over an existing monitor
   timeseries (exit 1 when any rule fires).
 * ``serve``        -- batched async HTTP serving of released model
@@ -17,13 +16,13 @@ Subcommands:
   live latency telemetry.
 * ``loadgen``      -- deterministic heavy-tailed open-loop traffic
   against a server (in-process or ``--url``), with replayable traces
-  and ``BENCH_serve.json`` trajectories.
+  and a JSON report (``--out``).
 * ``analyze``      -- tail-latency attribution over a ``--trace-out``
   Chrome trace or a flight-recorder dump: per-stage percentiles,
   top-K slowest requests, queue-wait vs compute split.
 * ``profile``      -- per-autograd-op and per-kernel cost tables for a
-  small training run.
-* ``bench-kernels`` -- per-kernel reference-vs-fast timing table.
+  small training run (run it under each ``--backend`` to compare
+  kernels).
 * ``info``         -- versions, platform, backends and registered metrics.
 
 Global flags (before the subcommand): ``--backend
@@ -59,14 +58,13 @@ Examples::
     python -m repro.cli alerts run.timeseries.jsonl --corr-above 0.25
     python -m repro.cli report run.timeseries.jsonl
     python -m repro.cli report malicious.timeseries.jsonl benign.timeseries.jsonl
-    python -m repro.cli report --bench monitor
     python -m repro.cli serve --demo --bits 4 --port 8080 --shards 2
     python -m repro.cli loadgen --url http://127.0.0.1:8080 --requests 500
-    python -m repro.cli loadgen --demo --requests 200 --bench-out .
+    python -m repro.cli loadgen --demo --requests 200 --out report.json
     python -m repro.cli --trace-out serve.trace.json loadgen --demo --requests 200
     python -m repro.cli analyze serve.trace.json --top 10
     python -m repro.cli --backend fast profile quickstart --top 12
-    python -m repro.cli bench-kernels --repeats 20 --csv kernels.csv
+    python -m repro.cli --backend reference profile quickstart --top 12
 """
 
 from __future__ import annotations
@@ -274,34 +272,12 @@ def _cmd_monitor(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    """Render one monitor timeseries, diff two, or show a bench trend."""
-    from repro.monitor import (
-        BenchStore,
-        compare_runs,
-        load_timeseries,
-        render_run,
-        trend_table,
-    )
+    """Render one monitor timeseries or diff two."""
+    from repro.monitor import compare_runs, load_timeseries, render_run
     from repro.errors import ConfigError
 
-    if args.bench:
-        store = BenchStore(args.bench_dir)
-        entries = store.entries(args.bench)
-        if not entries:
-            known = store.names()
-            hint = f"; stored: {', '.join(known)}" if known else ""
-            raise SystemExit(f"repro report: no entries for benchmark "
-                             f"{args.bench!r} under {args.bench_dir}{hint}")
-        print(trend_table(entries, name=args.bench))
-        latest = entries[-1].get("metrics", {})
-        regressions = store.check(args.bench, latest,
-                                  threshold=args.threshold)
-        for regression in regressions:
-            print(f"regression: {regression}", file=sys.stderr)
-        return 1 if regressions else 0
-    if not args.timeseries or len(args.timeseries) > 2:
-        raise SystemExit("repro report: give one or two timeseries paths, "
-                         "or --bench NAME")
+    if len(args.timeseries) > 2:
+        raise SystemExit("repro report: give one or two timeseries paths")
     try:
         runs = [load_timeseries(path) for path in args.timeseries]
     except (OSError, ConfigError) as exc:
@@ -425,7 +401,6 @@ def _cmd_info(args) -> int:
 
     from repro.version import __version__
 
-    from repro.monitor import BenchStore
     from repro.parallel import cpu_workers
     from repro.telemetry import active_exporter, format_table
 
@@ -458,14 +433,6 @@ def _cmd_info(args) -> int:
                      f"{rate:.1%} hit rate over {int(lookups)} lookups "
                      f"({int(flat.get('serve.cache_evictions', 0.0))} "
                      f"evictions)"))
-    store = BenchStore(args.bench_dir)
-    for name in store.names():
-        entries = store.entries(name)
-        latest = entries[-1]
-        metrics = ", ".join(f"{k}={v:g}" for k, v in
-                            sorted(latest.get("metrics", {}).items()))
-        rows.append((f"bench:{name}",
-                     f"{len(entries)} entries; latest {metrics}"))
     print(format_table(("key", "value"), rows, title="repro info"))
     return 0
 
@@ -649,11 +616,6 @@ def _cmd_loadgen(args) -> int:
 
         report = asyncio.run(_run())
     print(report.to_table())
-    if args.bench_out:
-        from repro.monitor import BenchStore
-        store = BenchStore(args.bench_out)
-        store.append("serve", report.metrics())
-        print(f"trajectory appended to {store.path('serve')}", file=sys.stderr)
     if args.out:
         import dataclasses
         manifest = RunManifest.create(
@@ -712,54 +674,6 @@ def _cmd_profile(args) -> int:
                             title=f"backend kernels ({_backend.active().name})"))
     print(f"\nkernel time {prof.total_kernel_time * 1e3:.1f} ms covers "
           f"{prof.kernel_coverage():.1%} of the training step")
-    return 0
-
-
-def _cmd_bench_kernels(args) -> int:
-    """Per-kernel reference-vs-fast timing table."""
-    from repro.backend.bench import bench_kernels
-    from repro.telemetry import format_records
-
-    from repro.errors import ConfigError
-    try:
-        records = bench_kernels(kernels=args.kernels or None,
-                                repeats=args.repeats, seed=args.seed,
-                                dtype=args.dtype)
-    except ConfigError as exc:
-        raise SystemExit(f"repro bench-kernels: {exc}")
-    dtype_suffix = f", {args.dtype}" if args.dtype else ""
-    print(format_records(
-        records,
-        title=f"kernel micro-benchmark (best of {args.repeats}{dtype_suffix})",
-    ))
-    overridden = [r for r in records if r["overridden"]]
-    mean_speedup = None
-    if overridden:
-        mean_speedup = float(np.mean([r["speedup"] for r in overridden]))
-        print(f"\nmean speedup over {len(overridden)} overridden kernels: "
-              f"{mean_speedup:.2f}x")
-    vs64 = [r["vs_float64"] for r in records if "vs_float64" in r]
-    mean_vs64 = None
-    if vs64:
-        mean_vs64 = float(np.mean(vs64))
-        print(f"mean {args.dtype}-vs-float64 speedup on the fast backend: "
-              f"{mean_vs64:.2f}x")
-    if args.bench_out:
-        from repro.monitor import BenchStore
-        metrics = {}
-        if mean_speedup is not None:
-            metrics[f"mean_speedup_{args.dtype or 'float64'}"] = round(
-                mean_speedup, 4)
-        if mean_vs64 is not None:
-            metrics[f"mean_vs_float64_{args.dtype}"] = round(mean_vs64, 4)
-        if metrics:
-            store = BenchStore(args.bench_out)
-            store.append("precision", metrics)
-            print(f"trajectory appended to {store.path('precision')}")
-    if args.csv:
-        from repro.pipeline.sweep import SweepResult
-        SweepResult(records=records).to_csv(args.csv)
-        print(f"records written to {args.csv}")
     return 0
 
 
@@ -874,16 +788,9 @@ def build_parser() -> argparse.ArgumentParser:
     alerts.set_defaults(func=_cmd_alerts)
 
     report = sub.add_parser(
-        "report", help="render a monitor timeseries or benchmark trend")
-    report.add_argument("timeseries", nargs="*", metavar="TIMESERIES",
+        "report", help="render a monitor timeseries or diff two")
+    report.add_argument("timeseries", nargs="+", metavar="TIMESERIES",
                         help="one timeseries JSONL to render, or two to diff")
-    report.add_argument("--bench", metavar="NAME", default=None,
-                        help="render the BENCH_<NAME>.json trajectory instead")
-    report.add_argument("--bench-dir", metavar="DIR", default=".",
-                        help="directory holding BENCH_*.json files")
-    report.add_argument("--threshold", type=float, default=0.2,
-                        help="regression threshold (fraction of baseline) "
-                             "for --bench")
     report.set_defaults(func=_cmd_report)
 
     benign = sub.add_parser("benign", help="train the benign reference")
@@ -911,21 +818,6 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--top", type=int, default=12,
                       help="rows in the op table")
     prof.set_defaults(func=_cmd_profile)
-
-    bench = sub.add_parser("bench-kernels",
-                           help="per-kernel reference-vs-fast timing table")
-    bench.add_argument("kernels", nargs="*",
-                       help="kernel names to benchmark (default: all)")
-    bench.add_argument("--repeats", type=int, default=10,
-                       help="timing repetitions per kernel (best-of)")
-    bench.add_argument("--seed", type=int, default=0,
-                       help="seed for the benchmark inputs")
-    bench.add_argument("--bench-out", metavar="DIR", default=None,
-                       help="append the mean speedups to DIR/BENCH_precision.json "
-                            "(trajectory across sessions)")
-    bench.add_argument("--csv", metavar="PATH", default=None,
-                       help="export the records as CSV")
-    bench.set_defaults(func=_cmd_bench_kernels)
 
     serve = sub.add_parser(
         "serve", help="serve released model artifacts over HTTP")
@@ -1009,9 +901,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="shards for the in-process server")
     loadgen.add_argument("--max-batch", type=int, default=16)
     loadgen.add_argument("--max-wait-ms", type=float, default=4.0)
-    loadgen.add_argument("--bench-out", metavar="DIR", default=None,
-                         help="append p50/p99/throughput to "
-                              "DIR/BENCH_serve.json")
     loadgen.add_argument("--out", metavar="PATH", default=None,
                          help="write the load report + run manifest "
                               "(recording --trace-out) as JSON")
@@ -1033,8 +922,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.set_defaults(func=_cmd_analyze)
 
     info = sub.add_parser("info", help="print versions/platform for bug reports")
-    info.add_argument("--bench-dir", metavar="DIR", default=".",
-                      help="directory scanned for BENCH_*.json trajectories")
     info.set_defaults(func=_cmd_info)
     return parser
 

@@ -1,6 +1,6 @@
-"""In-training observability: leakage probes, run timeseries, bench trends.
+"""In-training observability: leakage probes, run timeseries, alerts.
 
-Three pieces on top of the PR-1 telemetry layer:
+Four pieces on top of the PR-1 telemetry layer:
 
 * **Probes** (:mod:`repro.monitor.probes`, :mod:`repro.monitor.system`)
   -- observers of the live training process.  Leakage probes measure
@@ -12,10 +12,10 @@ Three pieces on top of the PR-1 telemetry layer:
   structured JSONL timeseries keyed to the run manifest's run id.
   Probe failures are isolated: recorded as ``monitor.probe_error``
   events, never fatal to training.
-* **Reports & trends** (:mod:`repro.monitor.report`,
-  :mod:`repro.monitor.bench`) -- render a run into tables with ASCII
-  sparklines, diff two runs, and track gated benchmark results across
-  sessions in ``BENCH_<name>.json`` with a regression comparator.
+* **Reports** (:mod:`repro.monitor.report`) -- render a run into
+  tables with ASCII sparklines and diff two runs.
+* **Alerts** (:mod:`repro.monitor.alerts`) -- threshold, drift and
+  stall rules evaluated per tick, live or replayed over a timeseries.
 
 Watch an attack imprint appear::
 
@@ -23,8 +23,8 @@ Watch an attack imprint appear::
     Trainer(model, x, y, config, penalty=penalty, probes=monitor).train()
     print(render_run(monitor.records))
 
-CLI: ``repro monitor`` (train with probes on) and ``repro report``
-(render/diff timeseries, print bench trends).
+CLI: ``repro monitor`` (train with probes on), ``repro report``
+(render/diff timeseries) and ``repro alerts`` (replay the rules).
 """
 
 from repro.monitor.core import (
@@ -70,15 +70,6 @@ from repro.monitor.report import (
     render_run,
     series,
 )
-from repro.monitor.bench import (
-    BenchStore,
-    Regression,
-    detect_regressions,
-    machine_fingerprint,
-    machine_info,
-    metric_direction,
-    trend_table,
-)
 
 __all__ = [
     "Monitor", "as_monitor", "default_probes", "PROBE_EVENT", "ERROR_EVENT",
@@ -91,6 +82,4 @@ __all__ = [
     "ALERT_EVENT", "Alert", "AlertEngine", "AlertRule", "DriftRule",
     "MetricRule", "ProbeDisabledRule", "StallRule", "ThresholdRule",
     "default_rules", "serving_rules",
-    "BenchStore", "Regression", "detect_regressions", "machine_fingerprint",
-    "machine_info", "metric_direction", "trend_table",
 ]

@@ -19,7 +19,7 @@ entry carries an ``input_seed``, so the full request stream (timing
 :class:`~repro.serve.server.ModelServer` (or any object with an async
 ``infer``), keeps the open-loop contract with one task per arrival,
 and folds the structured responses into a :class:`LoadReport`
-(p50/p99, throughput, refusals) ready for ``BENCH_serve.json``.
+(p50/p99, throughput, refusals).
 """
 
 from __future__ import annotations
@@ -191,17 +191,6 @@ class LoadReport:
     mean_batch: float = 0.0
     throughput_rps: float = 0.0
     error_kinds: Dict[str, int] = field(default_factory=dict)
-
-    def metrics(self) -> Dict[str, float]:
-        """Flat numeric dict for ``BenchStore.append``."""
-        return {
-            "throughput_rps": round(self.throughput_rps, 3),
-            "latency_p50_ms": round(self.p50_ms, 3),
-            "latency_p99_ms": round(self.p99_ms, 3),
-            "mean_batch": round(self.mean_batch, 3),
-            "completed_frac": round(self.completed / self.sent, 4)
-            if self.sent else 0.0,
-        }
 
     def to_table(self) -> str:
         rows = [

@@ -1,8 +1,14 @@
-"""CLI: argument parsing and a fast end-to-end smoke run."""
+"""CLI: argument parsing, cold import and a fast end-to-end smoke run."""
+
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -46,6 +52,23 @@ class TestParser:
     def test_bad_method_exits(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["attack", "--method", "magic"])
+
+
+class TestColdImport:
+    def test_import_loads_no_infrastructure_layers(self):
+        # a fresh interpreter: this process already imported everything
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = ("import json, sys; import repro.cli; "
+                 "print(json.dumps(sorted(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        loaded = json.loads(out.stdout)
+        assert "repro.cli" in loaded
+        for package in ("repro.parallel", "repro.serve", "repro.monitor"):
+            leaked = [name for name in loaded
+                      if name == package or name.startswith(package + ".")]
+            assert not leaked, f"import repro.cli loads {leaked}"
 
 
 class TestEndToEnd:

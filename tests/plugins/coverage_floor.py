@@ -53,13 +53,11 @@ TARGET_FILES = (
     "src/repro/backend/reference.py",
     "src/repro/backend/fast.py",
     "src/repro/backend/equivalence.py",
-    "src/repro/backend/bench.py",
     "src/repro/monitor/__init__.py",
     "src/repro/monitor/core.py",
     "src/repro/monitor/probes.py",
     "src/repro/monitor/system.py",
     "src/repro/monitor/report.py",
-    "src/repro/monitor/bench.py",
     "src/repro/monitor/alerts.py",
     "src/repro/telemetry/sampler.py",
     "src/repro/telemetry/export.py",

@@ -128,14 +128,6 @@ class TestReport:
         assert report.throughput_rps == pytest.approx(2.0)
         assert report.mean_batch == pytest.approx(2.0)
 
-    def test_metrics_dict_is_bench_ready(self):
-        report = summarize_responses([_response()], duration_s=1.0)
-        metrics = report.metrics()
-        assert set(metrics) == {"throughput_rps", "latency_p50_ms",
-                                "latency_p99_ms", "mean_batch",
-                                "completed_frac"}
-        assert all(isinstance(v, float) for v in metrics.values())
-
     def test_table_renders(self):
         report = summarize_responses(
             [_response(), _response(ok=False, kind="refused")], 1.0)
